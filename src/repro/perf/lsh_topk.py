@@ -30,8 +30,8 @@ This kernel batches all of it over the query block:
    to the exact path); underfull rows keep the reference padding loop
    verbatim — they are the rare case by construction.
 
-``tests/test_perf_lsh_topk.py`` checks the kernel against the retained
-per-row reference (`Predictor.topk_lsh_reference`) for bit-identical ids
+``tests/test_perf_lsh_topk.py`` checks the kernel against the original
+per-row loop (kept under ``tests/`` as an oracle) for bit-identical ids
 on randomized snapshots, plus the empty-row / k > L / all-underfull edges.
 """
 

@@ -151,7 +151,8 @@ class RunRegistry:
     ``root`` holds ``runs.db`` and ``runs/<run_id>/`` directories. Opening
     a registry applies any pending schema migrations; ``create=False``
     raises if the root has no index yet (used by read-only CLI verbs so a
-    typo'd path fails loudly instead of minting an empty database).
+    typo'd path fails loudly instead of minting an empty database). An
+    index file SQLite cannot read raises :class:`DataFormatError`.
     """
 
     def __init__(self, root, *, create: bool = True) -> None:
@@ -164,8 +165,15 @@ class RunRegistry:
             )
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / RUNS_DIRNAME).mkdir(exist_ok=True)
-        with self._connect() as conn:
-            self._migrate(conn)
+        try:
+            with self._connect() as conn:
+                self._migrate(conn)
+        except sqlite3.OperationalError:
+            raise  # locked or unopenable: not a statement about the content
+        except sqlite3.DatabaseError as exc:
+            raise DataFormatError(
+                f"{self.db_path} is not a readable run index: {exc}"
+            ) from exc
 
     # -- connection / schema -------------------------------------------------
 

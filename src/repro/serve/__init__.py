@@ -35,7 +35,6 @@ from repro.serve.predictor import Predictor
 from repro.serve.queue import (
     AdaptiveBatchSizer,
     Request,
-    RequestQueue,
     TenantScheduler,
 )
 from repro.serve.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, ModelSnapshot
@@ -57,7 +56,6 @@ __all__ = [
     "SCORING_MODES",
     "AdaptiveBatchSizer",
     "Request",
-    "RequestQueue",
     "TenantScheduler",
     "LoadSpec",
     "TenantLoad",

@@ -104,7 +104,12 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import ConfigurationError, ServeError, SnapshotError
+from repro.exceptions import (
+    ConfigurationError,
+    DataFormatError,
+    ServeError,
+    SnapshotError,
+)
 from repro.gpu.cluster import MultiGPUServer
 from repro.serve.config import SCORING_MODES, SERVE_MODES, ServingConfig
 from repro.serve.loadgen import (
@@ -158,8 +163,6 @@ class ServeResult:
     per_device: Dict[int, int] = field(default_factory=dict)
     #: Queue high-water mark over the run.
     max_queue_depth: int = 0
-    #: LSH recall@k vs the exact path (None when the exact path served).
-    recall_at_k: Optional[float] = None
     k: int = 5
     #: The configured scoring policy ("exact", "lsh", or "auto").
     scoring: str = "exact"
@@ -224,8 +227,6 @@ class ServeResult:
             "n_swap_failures": float(self.n_swap_failures),
             "mis_versioned": float(self.mis_versioned),
         }
-        if self.recall_at_k is not None:
-            out["recall_at_k"] = float(self.recall_at_k)
         if self.mean_candidate_fraction is not None:
             out["mean_candidate_fraction"] = float(self.mean_candidate_fraction)
         if self.fairness is not None:
@@ -248,8 +249,6 @@ class ServeResult:
             "scoring": self.scoring,
             "scoring_batches": dict(sorted(self.scoring_batches.items())),
         })
-        if self.recall_at_k is not None:
-            out["recall_at_k"] = self.recall_at_k
         if self.mean_candidate_fraction is not None:
             out["mean_candidate_fraction"] = self.mean_candidate_fraction
         if self.tenants:
@@ -294,8 +293,8 @@ class ServingEngine:
 
     Options arrive either as a prebuilt :class:`ServingConfig` (``config=``)
     or as keyword options validated through
-    :meth:`ServingConfig.from_options` — the same deprecation/unknown-option
-    layer ``repro.api.make_engine`` and the CLI use. Pass ``store=`` (and
+    :meth:`ServingConfig.from_options` — the same validation layer
+    ``repro.api.make_engine`` and the CLI use. Pass ``store=`` (and
     the ``base_version`` the constructor predictor corresponds to) to
     enable hot-swapping of newly published versions mid-run.
     """
@@ -327,16 +326,6 @@ class ServingEngine:
         self.server = server
         self.store = store
         self.base_version = int(base_version)
-        # Mirrored views of the config (the stable attribute surface).
-        self.mode = config.mode
-        self.target_latency_s = config.target_latency_s
-        self.b_min = config.b_min
-        self.b_max = config.b_max
-        self.beta = config.beta
-        self.fixed_batch_size = config.fixed_batch_size
-        self.scoring = config.scoring
-        #: Back-compat view of the scoring policy (True only for fixed LSH).
-        self.use_lsh = config.scoring == "lsh"
         self.telemetry: Telemetry = telemetry if telemetry is not None else NULL
 
     # -- the run -------------------------------------------------------------
@@ -446,10 +435,10 @@ class ServingEngine:
                     f"[0, {cfg.priority_classes}); "
                     f"got range [{class_tags.min()}, {class_tags.max()}]"
                 )
-        if self.scoring in ("lsh", "auto") and not self.predictor._lsh_built:
+        if cfg.scoring in ("lsh", "auto") and not self.predictor._lsh_built:
             self.predictor.rebuild_lsh()
         if (
-            self.scoring in ("lsh", "auto")
+            cfg.scoring in ("lsh", "auto")
             and self.predictor.observed_candidate_fraction() is None
         ):
             # Seed the crossover signal deterministically from the head of
@@ -487,9 +476,9 @@ class ServingEngine:
             sizer = sizers.get(key)
             if sizer is None:
                 sizer = sizers[key] = AdaptiveBatchSizer(
-                    b_min=self.b_min,
-                    b_max=self.b_max,
-                    beta=self.beta,
+                    b_min=cfg.b_min,
+                    b_max=cfg.b_max,
+                    beta=cfg.beta,
                     target_latency_s=cfg.class_target_latency_s(
                         priority_class
                     ),
@@ -591,8 +580,8 @@ class ServingEngine:
                 batch_class = scheduler.next_class()
                 sizer = _sizer(device, batch_class)
                 cap = (
-                    sizer.cap if self.mode == "adaptive"
-                    else self.fixed_batch_size
+                    sizer.cap if cfg.mode == "adaptive"
+                    else cfg.fixed_batch_size
                 )
                 batch = scheduler.pop_batch(cap)
                 version = batch[0].version
@@ -606,7 +595,7 @@ class ServingEngine:
                 # numerics run, from this device's cost model at this
                 # instant — the crossover decision the ``serve.batch`` span
                 # records.
-                if self.scoring == "auto":
+                if cfg.scoring == "auto":
                     exact_service = gpu.cost_model.inference_time(
                         work, speed=speed, n_active_gpus=self.server.n_gpus
                     )
@@ -615,7 +604,7 @@ class ServingEngine:
                         chosen, service = "lsh", lsh_service
                     else:
                         chosen, service = "exact", exact_service
-                elif self.scoring == "lsh":
+                elif cfg.scoring == "lsh":
                     chosen = "lsh"
                     service = _price_lsh(gpu, pred, work, speed)
                 else:
@@ -674,7 +663,7 @@ class ServingEngine:
                 pins[version] -= len(batch)
                 _retire(version)
                 batch_sizes.append(len(batch))
-                if self.mode == "adaptive":
+                if cfg.mode == "adaptive":
                     new_cap = sizer.observe(len(batch), t_done - t_dispatch)
                     tel.gauge(GAUGE_BATCH_SIZE, new_cap, device=device)
 
@@ -712,7 +701,7 @@ class ServingEngine:
                 try:
                     snapshot = store.load(next_version)
                     new_pred = prev_pred.spawn(snapshot)
-                except (SnapshotError, ServeError) as exc:
+                except (SnapshotError, DataFormatError, ServeError) as exc:
                     counters["failures"] += 1
                     tel.counter(COUNTER_SWAP_FAILURES, 1)
                     tel.instant(
@@ -732,7 +721,7 @@ class ServingEngine:
                 warm_s = gpu0.cost_model.model_transfer_time(
                     snapshot.state.nbytes
                 )
-                if self.scoring in ("lsh", "auto"):
+                if cfg.scoring in ("lsh", "auto"):
                     new_pred.rebuild_lsh()
                     warm_s += gpu0.cost_model.lsh_rebuild_time(
                         n_labels,
@@ -880,12 +869,11 @@ class ServingEngine:
 
         tel.attach(
             env,
-            algorithm=f"serve-{self.mode}",
+            algorithm=f"serve-{cfg.mode}",
             dataset=str(self.predictor.snapshot.meta.get("dataset", "queries")),
             n_devices=self.server.n_gpus,
-            mode=self.mode,
-            scoring=self.scoring,
-            use_lsh=self.use_lsh,
+            mode=cfg.mode,
+            scoring=cfg.scoring,
             n_requests=n_requests,
             hot_swap=self.store is not None,
             elastic=membership is not None,
@@ -893,7 +881,7 @@ class ServingEngine:
         if membership is not None:
             membership.telemetry = tel
         try:
-            with tel.span(SPAN_RUN, mode=self.mode, n_requests=n_requests):
+            with tel.span(SPAN_RUN, mode=cfg.mode, n_requests=n_requests):
                 env.process(source(env), name="serve-source")
                 for gpu in self.server.gpus:
                     env.process(worker(env, gpu), name=f"serve-{gpu.name}")
@@ -981,20 +969,18 @@ class ServingEngine:
             n_shed=scheduler.n_shed,
             shed_by_tenant=dict(scheduler.shed_by_tenant),
             meta={
-                "mode": self.mode,
-                "scoring": self.scoring,
-                "use_lsh": self.use_lsh,
+                "mode": cfg.mode,
+                "scoring": cfg.scoring,
             },
         )
         return ServeResult(
-            mode=self.mode,
+            mode=cfg.mode,
             requests=requests,
             report=report,
             per_device=per_device,
             max_queue_depth=scheduler.max_depth,
-            recall_at_k=None,
             k=k,
-            scoring=self.scoring,
+            scoring=cfg.scoring,
             scoring_batches=scoring_batches,
             mean_candidate_fraction=(
                 float(np.mean(lsh_fractions)) if lsh_fractions else None

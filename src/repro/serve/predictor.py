@@ -15,8 +15,7 @@ block, one binary search for every bucket, a bitmap-dedup CSR candidate
 set, a flat gather-dot, and a segmented top-k. Rows whose retrieval
 returns fewer than ``k`` candidates are padded with the lowest-id
 unretrieved labels, so the output shape (and tie behaviour) stays
-deterministic; :meth:`Predictor.topk_lsh_reference` retains the original
-per-row loop as the semantic oracle the kernel is tested against.
+deterministic.
 
 Every LSH call also records the batch's mean candidate fraction
 (:meth:`observed_candidate_fraction`) — the selectivity signal the
@@ -42,7 +41,6 @@ from repro.perf.workspace import Workspace
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.metrics import topk_indices
 from repro.sparse.mlp import SparseMLP
-from repro.sparse.ops import sampled_logits
 
 __all__ = ["Predictor"]
 
@@ -230,46 +228,6 @@ class Predictor:
         self._observe_fraction(counts, L)
         return out, counts
 
-    def topk_lsh_reference(self, X: sp.csr_matrix, k: int) -> np.ndarray:
-        """The original per-row LSH loop — the batched kernel's oracle.
-
-        Kept verbatim (dict-table lookups, per-row ``sampled_logits`` and
-        1-row top-k) so ``tests/test_perf_lsh_topk.py`` can assert the
-        vectorized pipeline is bit-identical on arbitrary snapshots. Slow
-        by construction; never used by the serving engine.
-        """
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if not self._lsh_built:
-            self.rebuild_lsh()
-        L = self.arch.n_labels
-        k = min(k, L)
-        n = X.shape[0]
-        out = np.empty((n, k), dtype=np.int64)
-        if n == 0:
-            return out
-        H = np.array(self.hidden(X), copy=True)
-        W_out = self.state[self._out_name]
-        b_out = self.state[self._bias_name]
-        candidates = self._lsh.query_batch(H, n_probes=self.lsh_probes)
-        for i, cand in enumerate(candidates):
-            if cand.size < k:
-                # Deterministic fill: lowest label ids not retrieved.
-                missing = np.setdiff1d(
-                    np.arange(min(L, k + cand.size), dtype=np.int64), cand
-                )[: k - cand.size]
-                logits = sampled_logits(H[i], W_out, b_out, cand)
-                order = topk_indices(logits[None, :], cand.size)[0] if cand.size else []
-                out[i, : cand.size] = cand[order]
-                out[i, cand.size:] = missing
-            else:
-                logits = sampled_logits(H[i], W_out, b_out, cand)
-                # cand is sorted ascending, so positional tie-break == the
-                # lowest-label-id rule the exact path uses.
-                best = topk_indices(logits[None, :], k)[0]
-                out[i] = cand[best]
-        return out
-
     def candidate_counts(self, X: sp.csr_matrix) -> np.ndarray:
         """Per-row LSH candidate-set sizes (retrieval selectivity).
 
@@ -334,9 +292,3 @@ class Predictor:
         pos = np.minimum(pos, exact_keys.size - 1)
         hits = int(np.count_nonzero(exact_keys[pos] == approx_keys))
         return hits / (n * kk)
-
-    def predict_labels(
-        self, X: sp.csr_matrix, k: int, *, use_lsh: bool = False
-    ) -> np.ndarray:
-        """Top-``k`` labels via the configured path (the engine's entry)."""
-        return self.topk_lsh(X, k) if use_lsh else self.topk(X, k)

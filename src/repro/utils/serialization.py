@@ -15,6 +15,8 @@ from typing import Any, Dict, Mapping, Union
 
 import numpy as np
 
+from repro.exceptions import DataFormatError
+
 __all__ = ["to_jsonable", "save_json", "load_json", "save_arrays", "load_arrays"]
 
 PathLike = Union[str, Path]
@@ -73,8 +75,15 @@ def save_json(path: PathLike, obj: Any, *, indent: int = 2) -> Path:
 
 
 def load_json(path: PathLike) -> Any:
-    """Read JSON from ``path``."""
-    return json.loads(Path(path).read_text())
+    """Read JSON from ``path``.
+
+    Truncated, empty or non-UTF-8 content raises :class:`DataFormatError`.
+    """
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def save_arrays(path: PathLike, arrays: Dict[str, np.ndarray]) -> Path:

@@ -9,8 +9,7 @@ on a single error type).
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -24,37 +23,7 @@ __all__ = [
     "check_integer",
     "check_one_of",
     "check_finite_array",
-    "resolve_renamed_kwargs",
 ]
-
-
-def resolve_renamed_kwargs(
-    kwargs: Dict[str, Any],
-    renames: Mapping[str, str],
-    owner: str,
-    *,
-    stacklevel: int = 3,
-) -> Dict[str, Any]:
-    """Rewrite deprecated keyword spellings in place, with a warning.
-
-    For each ``old -> new`` entry: passing ``old`` emits a
-    ``DeprecationWarning`` and moves the value under ``new``; passing both
-    spellings is a ``ConfigurationError``. Returns ``kwargs``.
-    """
-    for old, new in renames.items():
-        if old not in kwargs:
-            continue
-        if new in kwargs:
-            raise ConfigurationError(
-                f"{owner}: got both {old!r} (deprecated) and {new!r}"
-            )
-        warnings.warn(
-            f"{owner}: keyword {old!r} is deprecated, use {new!r}",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        kwargs[new] = kwargs.pop(old)
-    return kwargs
 
 
 def check_positive(name: str, value: float) -> float:

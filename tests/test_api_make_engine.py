@@ -99,8 +99,8 @@ class TestOptions:
     def test_options_flow_into_config(self, snapshot):
         engine = make_engine(snapshot, mode="sequential", scoring="lsh",
                              k=3, max_queue_depth=16)
-        assert engine.mode == "sequential"
-        assert engine.scoring == "lsh"
+        assert engine.config.mode == "sequential"
+        assert engine.config.scoring == "lsh"
         assert engine.config.k == 3
         assert engine.config.max_queue_depth == 16
 
@@ -124,12 +124,6 @@ class TestOptions:
     def test_invalid_option_value_rejected(self, snapshot):
         with pytest.raises(ConfigurationError):
             make_engine(snapshot, mode="warp")
-
-    def test_use_lsh_deprecation_lives_in_one_layer(self, snapshot):
-        with pytest.warns(DeprecationWarning, match="scoring='lsh'"):
-            engine = make_engine(snapshot, use_lsh=True)
-        assert engine.scoring == "lsh"
-        assert engine.use_lsh is True
 
     def test_lsh_options_reach_predictor(self, snapshot):
         engine = make_engine(snapshot, scoring="lsh", lsh_tables=8,

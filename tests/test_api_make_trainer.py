@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import (
     TRAINER_REGISTRY,
+    make_engine,
     make_trainer,
     register_trainer,
     trainer_class,
@@ -52,8 +53,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="already registered"):
             register_trainer("adaptive", AdaptiveSGDTrainer)
         # overwrite=True is the explicit escape hatch (restore the entry).
-        register_trainer("adaptive", AdaptiveSGDTrainer, overwrite=True,
-                         deprecated_kwargs={"use_governor": "governor"})
+        register_trainer("adaptive", AdaptiveSGDTrainer, overwrite=True)
 
     def test_non_trainer_class_rejected(self):
         with pytest.raises(ConfigurationError, match="TrainerBase subclass"):
@@ -103,19 +103,30 @@ class TestMakeTrainer:
         assert trainer.server.n_gpus == 3
 
 
+def _tiny_snapshot():
+    from repro.serve.snapshot import ModelSnapshot
+    from repro.sparse.mlp import MLPArchitecture, SparseMLP
+
+    arch = MLPArchitecture(8, 6, hidden=(4,))
+    return ModelSnapshot(arch=arch, state=SparseMLP(arch).init_state(seed=0))
+
+
+def _engine(**options):
+    from repro.gpu.cluster import make_server
+    from repro.serve.engine import ServingEngine
+    from repro.serve.predictor import Predictor
+
+    return ServingEngine(Predictor(_tiny_snapshot()), make_server(2),
+                         **options)
+
+
+def _cli(*argv):
+    from repro.cli import main
+
+    return lambda: main(list(argv))
+
+
 class TestDeprecatedKwargs:
-    def test_use_governor_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="use_governor"):
-            trainer = make_trainer("adaptive", micro_spec(), use_governor=True)
-        assert trainer.governor is True
-        assert trainer.use_governor is True  # property alias
-
-    def test_mu_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="mu"):
-            trainer = make_trainer("crossbow", micro_spec(), mu=0.2)
-        assert trainer.elasticity == pytest.approx(0.2)
-        assert trainer.mu == pytest.approx(0.2)  # property alias
-
     def test_new_spelling_does_not_warn(self):
         import warnings
 
@@ -124,7 +135,39 @@ class TestDeprecatedKwargs:
             make_trainer("adaptive", micro_spec(), governor=True)
             make_trainer("crossbow", micro_spec(), elasticity=0.2)
 
-    def test_positional_run_budget_deprecated(self):
-        trainer = make_trainer("minibatch", micro_spec())
-        with pytest.warns(DeprecationWarning, match="time_budget_s"):
-            trainer.run(0.005)
+    @pytest.mark.parametrize("call, error", [
+        pytest.param(
+            lambda: make_trainer("adaptive", micro_spec(), use_governor=True),
+            ConfigurationError, id="use_governor",
+        ),
+        pytest.param(
+            lambda: make_trainer("crossbow", micro_spec(), mu=0.1),
+            ConfigurationError, id="mu",
+        ),
+        pytest.param(
+            lambda: make_engine(_tiny_snapshot(), use_lsh=True),
+            ConfigurationError, id="use_lsh",
+        ),
+        pytest.param(
+            lambda: _engine(use_lsh=True),
+            ConfigurationError, id="engine-use_lsh",
+        ),
+        pytest.param(
+            lambda: make_trainer("minibatch", micro_spec()).run(0.1),
+            TypeError, id="positional-run",
+        ),
+        pytest.param(
+            _cli("train", "--budget", "0.1", "--dataset", "micro"),
+            SystemExit, id="cli-budget",
+        ),
+        pytest.param(
+            _cli("serve", "model", "--lsh"), SystemExit, id="cli-lsh",
+        ),
+    ])
+    def test_removed_spelling_rejected(self, call, error, capsys):
+        """The expired aliases fail with a typed error (argparse: exit 2)."""
+        with pytest.raises(error) as info:
+            call()
+        if error is SystemExit:
+            assert info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -241,16 +241,16 @@ class TestTimeBudgetFlag:
             )
         assert args.time_budget_s == 0.1
 
-    def test_deprecated_budget_alias_warns(self):
-        parser = build_parser()
-        with pytest.warns(DeprecationWarning, match="--time-budget-s"):
-            args = parser.parse_args(
-                ["train", "--budget", "0.1", "--dataset", "micro"]
-            )
-        assert args.time_budget_s == 0.1
-
 
 class TestServingCommands:
+    def test_serve_corrupt_store_manifest_fails(self, capsys, tmp_path):
+        from repro.serve.store import SnapshotStore
+
+        manifest = SnapshotStore(tmp_path / "store").manifest_path
+        manifest.write_bytes(manifest.read_bytes()[:20])
+        assert main(["serve", str(tmp_path / "store")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_snapshot_command(self, capsys, tmp_path):
         stem = tmp_path / "model"
         assert main([
@@ -293,21 +293,6 @@ class TestServingCommands:
         out = capsys.readouterr().out
         assert "-- adaptive --" in out and "-- sequential --" not in out
         assert "LSH recall@5 vs exact:" in out
-
-    def test_serve_deprecated_lsh_flag_still_works(self, capsys, tmp_path):
-        stem = tmp_path / "model"
-        assert main([
-            "snapshot", str(stem), "--dataset", "micro",
-            "--time-budget-s", "0.02", "--gpus", "2",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "serve", str(stem), "--requests", "100", "--mode", "adaptive",
-            "--lsh",
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "LSH recall@5 vs exact:" in captured.out
-        assert "deprecated" in captured.err
 
     def test_serve_auto_mode_reports_scoring_split(self, capsys, tmp_path):
         stem = tmp_path / "model"

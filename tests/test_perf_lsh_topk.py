@@ -1,7 +1,7 @@
 """Tests for repro.perf.lsh_topk — the batched multi-probe LSH kernel.
 
 The load-bearing property is bit-identity: the vectorized pipeline must
-reproduce the retained per-row reference (`Predictor.topk_lsh_reference`)
+reproduce the per-row reference loop (`tests.lsh_reference`)
 element for element — same candidate sets, same ranking, same tie-breaks,
 same padding — on arbitrary snapshots and hash geometries.
 """
@@ -22,6 +22,7 @@ from repro.perf.workspace import Workspace
 from repro.serve.predictor import Predictor
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests.lsh_reference import topk_lsh_reference
 
 
 def _snapshot(n_features=24, L=96, hidden=32, seed=0):
@@ -54,7 +55,7 @@ class TestBitIdentity:
         )
         X = _queries(16, snap.arch.n_features, seed=trial)
         assert np.array_equal(
-            pred.topk_lsh(X, k), pred.topk_lsh_reference(X, k)
+            pred.topk_lsh(X, k), topk_lsh_reference(pred, X, k)
         )
 
     def test_candidate_sets_match_query_batch(self):
@@ -78,7 +79,7 @@ class TestBitIdentity:
         X = _queries(10, snap.arch.n_features, seed=1)
         first = pred.topk_lsh(X, 5)
         assert np.array_equal(first, pred.topk_lsh(X, 5))
-        assert np.array_equal(first, pred.topk_lsh_reference(X, 5))
+        assert np.array_equal(first, topk_lsh_reference(pred, X, 5))
 
 
 class TestSegmentedTopk:

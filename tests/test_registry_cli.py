@@ -52,6 +52,13 @@ class TestRunsLs:
         ]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_corrupt_registry_fails(self, capsys, tmp_path):
+        root = tmp_path / "corrupt"
+        root.mkdir()
+        (root / "runs.db").write_bytes(bytes(range(256)) + bytes(44))
+        assert main(["runs", "ls", "--registry", str(root)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_empty_registry_renders(self, capsys, tmp_path):
         RunRegistry(tmp_path / "empty")
         capsys.readouterr()

@@ -178,12 +178,6 @@ class TestScoringPolicy:
         for i in range(40):
             assert served[i] == exact[i].tolist()
 
-    def test_use_lsh_deprecated_but_equivalent(self, predictor):
-        with pytest.warns(DeprecationWarning, match="scoring='lsh'"):
-            engine = ServingEngine(predictor, serve_server(), use_lsh=True)
-        assert engine.scoring == "lsh"
-        assert engine.use_lsh is True
-
     def test_bad_scoring_rejected(self, predictor):
         with pytest.raises(ConfigurationError, match="scoring"):
             ServingEngine(predictor, serve_server(), scoring="psychic")

@@ -7,6 +7,7 @@ from repro.exceptions import ConfigurationError, ServeError
 from repro.serve.predictor import Predictor
 from repro.serve.snapshot import ModelSnapshot
 from repro.sparse.mlp import MLPArchitecture, SparseMLP
+from tests.lsh_reference import topk_lsh_reference
 
 
 @pytest.fixture(scope="module")
@@ -112,22 +113,11 @@ class TestLshPath:
         X = micro_task.test.X[:64]
         assert predictor.recall_at_k(X, 5) >= 0.5
 
-    def test_predict_labels_routes_paths(self, predictor, micro_task):
-        X = micro_task.test.X[:6]
-        assert np.array_equal(
-            predictor.predict_labels(X, 5, use_lsh=False),
-            predictor.topk(X, 5),
-        )
-        assert np.array_equal(
-            predictor.predict_labels(X, 5, use_lsh=True),
-            predictor.topk_lsh(X, 5),
-        )
-
     def test_matches_per_row_reference(self, predictor, micro_task):
         """The batched kernel vs the retained per-row oracle, bit for bit."""
         X = micro_task.test.X[:32]
         assert np.array_equal(
-            predictor.topk_lsh(X, 5), predictor.topk_lsh_reference(X, 5)
+            predictor.topk_lsh(X, 5), topk_lsh_reference(predictor, X, 5)
         )
 
     def test_bad_probes_rejected(self, micro_snapshot):

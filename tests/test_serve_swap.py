@@ -167,19 +167,22 @@ class TestCanaryRollback:
 class TestSwapFailure:
     def test_corrupt_version_skipped_serving_continues(self, arch,
                                                        micro_task, tmp_path):
-        store = fill_store(tmp_path / "s", arch, [7, 7], [0.0, 0.01])
-        npz = store.root / "v000002.snapshot.npz"
-        npz.write_bytes(npz.read_bytes()[:64])
-        engine = make_engine(store, mode="adaptive", n_gpus=N_GPUS)
-        result = engine.serve(
-            micro_task.test.X, spanning_arrivals(store, 300), k=5
-        )
-        assert result.n_swap_failures == 1
-        assert result.n_swaps == 0
-        assert result.active_version == 1
-        assert all(r.t_done is not None for r in result.requests)
-        (record,) = result.swaps
-        assert record["failed"] is True and "error" in record
+        # A truncated npz fails array validation; a truncated header fails
+        # to parse as JSON. Each is one failed swap, never a crashed run.
+        for artifact in ("v000002.snapshot.npz", "v000002.snapshot.json"):
+            store = fill_store(tmp_path / artifact, arch, [7, 7], [0.0, 0.01])
+            path = store.root / artifact
+            path.write_bytes(path.read_bytes()[:64])
+            engine = make_engine(store, mode="adaptive", n_gpus=N_GPUS)
+            result = engine.serve(
+                micro_task.test.X, spanning_arrivals(store, 300), k=5
+            )
+            assert result.n_swap_failures == 1
+            assert result.n_swaps == 0
+            assert result.active_version == 1
+            assert all(r.t_done is not None for r in result.requests)
+            (record,) = result.swaps
+            assert record["failed"] is True and "error" in record
 
     def test_failed_version_not_retried(self, arch, micro_task, tmp_path):
         """A bad version is quarantined; the next good one still lands."""

@@ -108,3 +108,72 @@ class TestNonFiniteRejection:
     def test_finite_floats_still_pass(self):
         assert to_jsonable(np.float32(2.5)) == 2.5
         assert to_jsonable([0.0, -1e300]) == [0.0, -1e300]
+
+
+def _trace():
+    from repro.harness.traces import TracePoint, TrainingTrace
+
+    trace = TrainingTrace(algorithm="A", dataset="d", n_devices=2)
+    trace.record_point(TracePoint(
+        time_s=0.0, epochs=0.0, updates=0, samples=0, accuracy=0.1, loss=1.0,
+    ))
+    return trace
+
+
+def _snapshot():
+    from repro.serve.snapshot import ModelSnapshot
+    from repro.sparse.mlp import MLPArchitecture, SparseMLP
+
+    arch = MLPArchitecture(8, 6, hidden=(4,))
+    return ModelSnapshot(arch=arch, state=SparseMLP(arch).init_state(seed=0))
+
+
+def _trace_json(tmp_path):
+    from repro.harness.store import load_trace, save_trace
+
+    save_trace(_trace(), tmp_path / "run")
+    return tmp_path / "run.json", lambda: load_trace(tmp_path / "run")
+
+
+def _result_set_index(tmp_path):
+    from repro.harness.store import load_result_set, save_result_set
+
+    save_result_set({("A", 2): _trace()}, tmp_path)
+    return tmp_path / "index.json", lambda: load_result_set(tmp_path)
+
+
+def _snapshot_header(tmp_path):
+    from repro.serve.snapshot import ModelSnapshot
+
+    header = _snapshot().save(tmp_path / "model")
+    return header, lambda: ModelSnapshot.load(tmp_path / "model")
+
+
+def _store_manifest(tmp_path):
+    from repro.serve.store import MANIFEST_NAME, SnapshotStore
+
+    SnapshotStore(tmp_path / "store").publish(_snapshot(), published_s=0.0)
+    return (
+        tmp_path / "store" / MANIFEST_NAME,
+        lambda: SnapshotStore(tmp_path / "store", create=False),
+    )
+
+
+class TestCorruptArtifacts:
+    """Every JSON artifact loader fails with a typed error on bad bytes."""
+
+    @pytest.mark.parametrize("artifact", [
+        _trace_json, _result_set_index, _snapshot_header, _store_manifest,
+    ], ids=["trace", "result-set-index", "snapshot-header", "store-manifest"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[: len(raw) // 2],
+        lambda raw: b"",
+        lambda raw: b"\x80\xfe" + raw,
+    ], ids=["truncated", "empty", "non-utf8"])
+    def test_loader_raises_repro_error(self, tmp_path, artifact, corrupt):
+        from repro.exceptions import ReproError
+
+        path, load = artifact(tmp_path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ReproError):
+            load()
